@@ -14,7 +14,9 @@ all: check
 # check is the CI gate: formatting, compile, vet, the full suite, and the
 # race detector over everything (including the wire e2e and
 # fault-injection tests). The ./... patterns cover the examples too —
-# they live in this module, so `go list ./...` includes them.
+# they live in this module, so `go list ./...` includes them. The
+# benchmark in perfbench/ is its own module, so vet compiles it
+# separately against this module's current API.
 check: fmt-check build vet test race
 
 fmt-check:
@@ -26,6 +28,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -27,9 +27,12 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line. Name carries no GOMAXPROCS
+// suffix, so runs on machines with different core counts diff by name;
+// Procs records the GOMAXPROCS the line was measured at.
 type Result struct {
 	Name        string  `json:"name"`
+	Procs       int     `json:"procs,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  int64   `json:"bytesPerOp,omitempty"`
@@ -115,6 +118,9 @@ func diffAgainst(path string, cur Document, maxRegress float64, tee io.Writer) e
 	}
 	baseByName := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
+		// Baselines recorded before names were normalized carry the
+		// suffix too.
+		r.Name, _ = splitProcs(r.Name)
 		baseByName[r.Name] = r
 	}
 
@@ -159,8 +165,8 @@ func diffAgainst(path string, cur Document, maxRegress float64, tee io.Writer) e
 //
 //	BenchmarkFreqCacheSharded/sharded-8   2262099   530.6 ns/op   216 B/op   3 allocs/op
 //
-// Lines that are not benchmark results (headers, PASS, ok ...) report
-// false.
+// into Name "BenchmarkFreqCacheSharded/sharded" and Procs 8. Lines that
+// are not benchmark results (headers, PASS, ok ...) report false.
 func parseBenchLine(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -170,7 +176,8 @@ func parseBenchLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	res := Result{Name: fields[0], Iterations: iters}
+	res := Result{Iterations: iters}
+	res.Name, res.Procs = splitProcs(fields[0])
 	seen := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, unit := fields[i], fields[i+1]
@@ -189,4 +196,20 @@ func parseBenchLine(line string) (Result, bool) {
 		}
 	}
 	return res, seen
+}
+
+// splitProcs splits the -N suffix `go test` appends to a benchmark name
+// when GOMAXPROCS is N > 1; a name without one ran at GOMAXPROCS 1. A
+// sub-benchmark whose own name ends in -<digits> is indistinguishable
+// from a suffixed one, so benchmark names here avoid that form.
+func splitProcs(name string) (string, int) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return name, 1
+	}
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil || n < 1 {
+		return name, 1
+	}
+	return name[:i], n
 }

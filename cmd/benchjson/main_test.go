@@ -23,9 +23,14 @@ func TestParseBenchLine(t *testing.T) {
 	if !ok {
 		t.Fatal("valid line rejected")
 	}
-	if res.Name != "BenchmarkX/sub-8" || res.Iterations != 100 || res.NsPerOp != 12.5 ||
+	if res.Name != "BenchmarkX/sub" || res.Procs != 8 || res.Iterations != 100 || res.NsPerOp != 12.5 ||
 		res.BytesPerOp != 8 || res.AllocsPerOp != 1 {
 		t.Fatalf("parsed %+v", res)
+	}
+	// GOMAXPROCS=1 runs print no suffix.
+	res, ok = parseBenchLine("BenchmarkX/sub   100   12.5 ns/op")
+	if !ok || res.Name != "BenchmarkX/sub" || res.Procs != 1 {
+		t.Fatalf("unsuffixed line parsed %+v (ok=%v)", res, ok)
 	}
 	for _, bad := range []string{"PASS", "ok  \tpkg\t1s", "goos: linux", "BenchmarkX nan ns/op"} {
 		if _, ok := parseBenchLine(bad); ok {
@@ -48,7 +53,7 @@ func TestRunWritesJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Results) != 2 || doc.Results[0].Name != "BenchmarkFreqCacheSharded/sharded-8" {
+	if len(doc.Results) != 2 || doc.Results[0].Name != "BenchmarkFreqCacheSharded/sharded" || doc.Results[0].Procs != 8 {
 		t.Fatalf("results %+v", doc.Results)
 	}
 }
@@ -138,6 +143,25 @@ func TestRunPrevMismatchedNames(t *testing.T) {
 	err := run([]string{"-prev", path}, strings.NewReader(sampleBench), io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "no benchmarks shared") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRunPrevStripsProcsSuffix diffs a GOMAXPROCS=2 run against a
+// baseline recorded at GOMAXPROCS=1 (no suffix): the names must match.
+func TestRunPrevStripsProcsSuffix(t *testing.T) {
+	doc := Document{Results: []Result{{Name: "BenchmarkFreqCacheSharded/sharded", Iterations: 1, NsPerOp: 500}}}
+	raw, _ := json.Marshal(doc)
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run2 := "BenchmarkFreqCacheSharded/sharded-2   1000   520.0 ns/op\n"
+	var tee strings.Builder
+	if err := run([]string{"-prev", path}, strings.NewReader(run2), &tee); err != nil {
+		t.Fatalf("err = %v\n%s", err, tee.String())
+	}
+	if !strings.Contains(tee.String(), "1 benchmark(s) within") {
+		t.Errorf("suffixed run did not match the unsuffixed baseline:\n%s", tee.String())
 	}
 }
 

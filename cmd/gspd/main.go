@@ -27,11 +27,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -58,14 +56,7 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "generation seed")
 	load := fs.String("load", "", "load a city snapshot (dataset JSON) instead of generating")
 	maxRadius := fs.Float64("max-radius", 10_000, "maximum accepted query radius in meters")
-	statsInterval := fs.Duration("stats-interval", time.Minute, "periodic traffic summary log interval (0 disables)")
-	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-	admitLimit := fs.Int("admit-limit", 0, "admission control: max concurrent request weight (0 disables)")
-	admitQueue := fs.Int("admit-queue", 128, "admission control: max requests waiting for a slot")
-	admitTimeout := fs.Duration("admit-timeout", 500*time.Millisecond, "admission control: max queue wait before shedding")
-	maxBody := fs.Int64("max-body", wire.DefaultMaxBody, "maximum accepted POST body in bytes")
-	authKeys := fs.String("auth-keys", "", "require signed requests; principal=hexkey[,principal=hexkey...] or @file with one pair per line (empty disables auth)")
-	authWindow := fs.Duration("auth-window", wire.DefaultAuthWindow, "signed-request timestamp validity window")
+	daemon := wire.RegisterDaemonFlags(fs)
 	storeDir := fs.String("store-dir", "", "directory for the disk-backed freq store; warm-starts the cache on boot and snapshots the hottest entries on a cadence and at shutdown (empty disables)")
 	storeTop := fs.Int("store-top", 4096, "freq store: snapshot at most this many hottest cache entries")
 	storeInterval := fs.Duration("store-interval", 5*time.Minute, "freq store: snapshot cadence (0 snapshots only at shutdown)")
@@ -96,34 +87,19 @@ func run(args []string) error {
 			logger.Printf("freq store: warm start with %d entries from %s", n, storePath)
 		}
 	}
-	opts := []wire.GSPServerOption{
-		wire.WithLogger(logger),
-		wire.WithMaxRadius(*maxRadius),
-		wire.WithMetrics(reg),
-		wire.WithPprof(*pprofOn),
-		wire.WithMaxBody(*maxBody),
+	shared, err := daemon.Options(logger, reg)
+	if err != nil {
+		return err
 	}
-	if *admitLimit > 0 {
-		opts = append(opts, wire.WithAdmission(*admitLimit, *admitQueue, *admitTimeout))
-		logger.Printf("admission control on: limit %d, queue %d, wait %v",
-			*admitLimit, *admitQueue, *admitTimeout)
-	}
-	if *authKeys != "" {
-		kr, err := wire.LoadKeyring(*authKeys)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, wire.WithAuth(kr, wire.WithAuthWindow(*authWindow)))
-		logger.Printf("request signing required: %d principals, ±%v window", kr.Len(), *authWindow)
+	opts := []wire.GSPServerOption{wire.WithMaxRadius(*maxRadius)}
+	for _, o := range shared {
+		opts = append(opts, o)
 	}
 	handler := wire.NewGSPServer(svc, opts...)
-	if *pprofOn {
-		logger.Printf("pprof profiling enabled at %s", wire.PathPprof)
-	}
 
-	obsCtx, obsCancel := context.WithCancel(context.Background())
-	defer obsCancel()
-	obs.StartSummary(obsCtx, logger, reg, *statsInterval)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	obs.StartSummary(ctx, logger, reg, daemon.StatsInterval)
 
 	saveStore := func(when string) {
 		if storePath == "" {
@@ -141,7 +117,7 @@ func run(args []string) error {
 			defer tick.Stop()
 			for {
 				select {
-				case <-obsCtx.Done():
+				case <-ctx.Done():
 					return
 				case <-tick.C:
 					saveStore("periodic")
@@ -150,43 +126,13 @@ func run(args []string) error {
 		}()
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("serving %s (%d POIs, %d types) on %s (metrics at %s)",
-			city.Name, city.NumPOIs(), city.M(), *addr, obs.PathMetrics)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case sig := <-stop:
-		logger.Printf("received %v, shutting down", sig)
-		// Flip /readyz to 503 first so load balancers stop routing new
-		// work here while Shutdown lets in-flight requests finish.
-		handler.Drain()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		err := srv.Shutdown(ctx)
-		// Snapshot after Shutdown so the hit counts of the final
-		// in-flight requests make it into the ranking.
-		saveStore("shutdown")
-		return err
-	}
+	logger.Printf("serving %s (%d POIs, %d types) on %s (metrics at %s)",
+		city.Name, city.NumPOIs(), city.M(), *addr, obs.PathMetrics)
+	err = wire.ListenAndServe(ctx, *addr, handler, logger)
+	// Snapshot after Shutdown so the hit counts of the final in-flight
+	// requests make it into the ranking.
+	saveStore("shutdown")
+	return err
 }
 
 func buildCity(load, cityName string, seed uint64) (*gsp.City, error) {

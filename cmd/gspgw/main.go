@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -74,15 +73,8 @@ type config struct {
 	peerTimeout   time.Duration
 	peerAuthKey   string
 	maxRadius     float64
-	maxBody       int64
 	maxBatch      int
-	admitLimit    int
-	admitQueue    int
-	admitTimeout  time.Duration
-	authKeys      string
-	authWindow    time.Duration
-	statsInterval time.Duration
-	pprofOn       bool
+	daemon        *wire.DaemonFlags
 }
 
 func parseConfig(args []string) (*config, error) {
@@ -104,15 +96,9 @@ func parseConfig(args []string) (*config, error) {
 	fs.DurationVar(&cfg.peerTimeout, "peer-timeout", 5*time.Second, "per-attempt timeout for shard calls")
 	fs.StringVar(&cfg.peerAuthKey, "peer-auth-key", "", "principal=hexkey the gateway signs shard calls with (for auth-enabled shards)")
 	fs.Float64Var(&cfg.maxRadius, "max-radius", 10_000, "maximum accepted query radius in meters (must match the shards)")
-	fs.Int64Var(&cfg.maxBody, "max-body", wire.DefaultMaxBody, "maximum accepted POST body in bytes")
 	fs.IntVar(&cfg.maxBatch, "max-batch", wire.DefaultMaxBatch, "maximum items per batch request (must match the shards)")
-	fs.IntVar(&cfg.admitLimit, "admit-limit", 0, "admission control: max concurrent request weight (0 disables)")
-	fs.IntVar(&cfg.admitQueue, "admit-queue", 128, "admission control: max requests waiting for a slot")
-	fs.DurationVar(&cfg.admitTimeout, "admit-timeout", 500*time.Millisecond, "admission control: max queue wait before shedding")
-	fs.StringVar(&cfg.authKeys, "auth-keys", "", "require signed client requests; principal=hexkey[,...] or @file (empty disables auth)")
-	fs.DurationVar(&cfg.authWindow, "auth-window", wire.DefaultAuthWindow, "signed-request timestamp validity window")
-	fs.DurationVar(&cfg.statsInterval, "stats-interval", time.Minute, "periodic traffic summary log interval (0 disables)")
-	fs.BoolVar(&cfg.pprofOn, "pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
+	cfg.daemon = wire.RegisterDaemonFlags(fs)
+	fs.Lookup("auth-keys").Usage = "require signed client requests; principal=hexkey[,...] or @file (empty disables auth)"
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -130,9 +116,11 @@ func parseConfig(args []string) (*config, error) {
 // buildGateway assembles the gateway and its registry from a config.
 func buildGateway(cfg *config, logger *log.Logger) (*wire.ClusterGateway, *obs.Registry, error) {
 	reg := obs.NewRegistry()
+	shared, err := cfg.daemon.Options(logger, reg)
+	if err != nil {
+		return nil, nil, err
+	}
 	opts := []wire.ClusterOption{
-		wire.WithClusterLogger(logger),
-		wire.WithClusterMetrics(reg),
 		wire.WithVirtualNodes(cfg.vnodes),
 		wire.WithCellSize(cfg.cellSize),
 		wire.WithCityLabel(cfg.cityLabel),
@@ -143,10 +131,11 @@ func buildGateway(cfg *config, logger *log.Logger) (*wire.ClusterGateway, *obs.R
 		wire.WithClusterAdmin(cfg.adminPr),
 		wire.WithWarmRadius(cfg.warmRadius),
 		wire.WithWarmMaxCells(cfg.warmMaxCells),
-		wire.WithClusterMaxRadius(cfg.maxRadius),
+		wire.WithMaxRadius(cfg.maxRadius),
 		wire.WithClusterMaxBatch(cfg.maxBatch),
-		wire.WithClusterPprof(cfg.pprofOn),
-		wire.WithMaxBody(cfg.maxBody),
+	}
+	for _, o := range shared {
+		opts = append(opts, o)
 	}
 	peerOpts := []wire.ClientOption{
 		wire.WithRetries(cfg.peerRetries),
@@ -161,19 +150,6 @@ func buildGateway(cfg *config, logger *log.Logger) (*wire.ClusterGateway, *obs.R
 		logger.Printf("signing shard calls as %q", principal)
 	}
 	opts = append(opts, wire.WithPeerClientOptions(peerOpts...))
-	if cfg.admitLimit > 0 {
-		opts = append(opts, wire.WithAdmission(cfg.admitLimit, cfg.admitQueue, cfg.admitTimeout))
-		logger.Printf("admission control on: limit %d, queue %d, wait %v",
-			cfg.admitLimit, cfg.admitQueue, cfg.admitTimeout)
-	}
-	if cfg.authKeys != "" {
-		kr, err := wire.LoadKeyring(cfg.authKeys)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts = append(opts, wire.WithAuth(kr, wire.WithAuthWindow(cfg.authWindow)))
-		logger.Printf("request signing required: %d principals, ±%v window", kr.Len(), cfg.authWindow)
-	}
 	gw, err := wire.NewClusterGateway(cfg.peers, opts...)
 	if err != nil {
 		return nil, nil, err
@@ -192,40 +168,11 @@ func run(args []string) error {
 		return err
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	gw.StartProber(ctx)
-	obs.StartSummary(ctx, logger, reg, cfg.statsInterval)
-
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           gw,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("routing %d shards on %s (probe every %v, metrics at %s)",
-			len(cfg.peers), cfg.addr, cfg.probeInterval, obs.PathMetrics)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case sig := <-stop:
-		logger.Printf("received %v, shutting down", sig)
-		gw.Drain()
-		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer scancel()
-		return srv.Shutdown(sctx)
-	}
+	obs.StartSummary(ctx, logger, reg, cfg.daemon.StatsInterval)
+	logger.Printf("routing %d shards on %s (probe every %v, metrics at %s)",
+		len(cfg.peers), cfg.addr, cfg.probeInterval, obs.PathMetrics)
+	return wire.ListenAndServe(ctx, cfg.addr, gw, logger)
 }

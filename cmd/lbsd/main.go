@@ -40,11 +40,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -75,12 +73,7 @@ func run(args []string) error {
 	noAudit := fs.Bool("no-audit", false, "disable re-identification auditing")
 	historyLimit := fs.Int("history", 1000, "stored releases per user")
 	historyUsers := fs.Int("history-users", wire.DefaultHistoryUsers, "max distinct users with stored history (second-chance eviction past it)")
-	statsInterval := fs.Duration("stats-interval", time.Minute, "periodic traffic summary log interval (0 disables)")
-	admitLimit := fs.Int("admit-limit", 0, "admission control: max concurrent request weight (0 disables)")
-	admitQueue := fs.Int("admit-queue", 128, "admission control: max requests waiting for a slot")
-	admitTimeout := fs.Duration("admit-timeout", 500*time.Millisecond, "admission control: max queue wait before shedding")
-	maxBody := fs.Int64("max-body", wire.DefaultMaxBody, "maximum accepted POST body in bytes")
-	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
+	daemon := wire.RegisterDaemonFlags(fs)
 	budgetOn := fs.Bool("budget", false, "enforce a per-principal privacy budget on releases")
 	budgetEps := fs.Float64("budget-eps", 10, "lifetime epsilon budget per principal")
 	budgetDelta := fs.Float64("budget-delta", 1e-3, "lifetime delta budget per principal")
@@ -92,8 +85,6 @@ func run(args []string) error {
 	budgetDir := fs.String("budget-dir", "", "ledger persistence directory (empty = in-memory)")
 	budgetTTL := fs.Duration("budget-idle-ttl", 0, "retire ledgers idle this long (0 disables; must be >= the window)")
 	snapshotEvery := fs.Int("budget-snapshot-every", 1000, "auto-snapshot the persistent ledger every N logged spends")
-	authKeys := fs.String("auth-keys", "", "require signed requests; principal=hexkey[,principal=hexkey...] or @file with one pair per line (empty disables auth)")
-	authWindow := fs.Duration("auth-window", wire.DefaultAuthWindow, "signed-request timestamp validity window")
 	streamOn := fs.Bool("stream", false, "ingest live check-ins (POST /v1/ingest) and publish windowed DP releases")
 	streamWindow := fs.Duration("stream-window", 5*time.Minute, "sliding check-in window per user")
 	streamTick := fs.Duration("stream-tick", stream.DefaultInterval, "period between windowed DP releases")
@@ -124,29 +115,16 @@ func run(args []string) error {
 
 	logger := log.New(os.Stderr, "lbsd ", log.LstdFlags)
 	reg := obs.NewRegistry()
+	shared, err := daemon.Options(logger, reg)
+	if err != nil {
+		return err
+	}
 	opts := []wire.LBSServerOption{
 		wire.WithHistoryLimit(*historyLimit),
 		wire.WithHistoryUsers(*historyUsers),
-		wire.WithLBSMetrics(reg),
-		wire.WithLBSLogger(logger),
-		wire.WithLBSPprof(*pprofOn),
-		wire.WithMaxBody(*maxBody),
 	}
-	if *admitLimit > 0 {
-		opts = append(opts, wire.WithAdmission(*admitLimit, *admitQueue, *admitTimeout))
-		logger.Printf("admission control on: limit %d, queue %d, wait %v",
-			*admitLimit, *admitQueue, *admitTimeout)
-	}
-	if *pprofOn {
-		logger.Printf("pprof profiling enabled at %s", wire.PathPprof)
-	}
-	if *authKeys != "" {
-		kr, err := wire.LoadKeyring(*authKeys)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, wire.WithAuth(kr, wire.WithAuthWindow(*authWindow)))
-		logger.Printf("request signing required: %d principals, ±%v window; budget charges verified principals only", kr.Len(), *authWindow)
+	for _, o := range shared {
+		opts = append(opts, o)
 	}
 	var svc *gsp.Service
 	if !*noAudit || *streamOn {
@@ -220,45 +198,15 @@ func run(args []string) error {
 	}
 	handler := wire.NewLBSServer(city.M(), opts...)
 
-	obsCtx, obsCancel := context.WithCancel(context.Background())
-	defer obsCancel()
-	obs.StartSummary(obsCtx, logger, reg, *statsInterval)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	obs.StartSummary(ctx, logger, reg, daemon.StatsInterval)
 	if led != nil && *budgetTTL > 0 {
-		startEvictLoop(obsCtx, logger, led, *budgetTTL)
+		startEvictLoop(ctx, logger, led, *budgetTTL)
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("LBS app for %s on %s (audit=%v, metrics at %s)",
-			city.Name, *addr, !*noAudit, obs.PathMetrics)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case sig := <-stop:
-		logger.Printf("received %v, shutting down", sig)
-		// Flip /readyz to 503 first so load balancers stop routing new
-		// work here while Shutdown lets in-flight requests finish.
-		handler.Drain()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
+	logger.Printf("LBS app for %s on %s (audit=%v, metrics at %s)",
+		city.Name, *addr, !*noAudit, obs.PathMetrics)
+	return wire.ListenAndServe(ctx, *addr, handler, logger)
 }
 
 // stopStreamAndCloseLedger is the daemon's shutdown tail. The stream

@@ -642,7 +642,7 @@ func run(args []string, stdout io.Writer) error {
 		if cfg.auditCost > 0 {
 			auditor = costedAuditor{inner: auditor, iters: calibrateBusy(cfg.auditCost)}
 		}
-		lbsOpts := []wire.LBSServerOption{wire.WithAuditor(auditor)}
+		lbsOpts := []wire.LBSServerOption{wire.WithLogger(quiet), wire.WithAuditor(auditor)}
 		for _, o := range serverOpts {
 			gspOpts = append(gspOpts, o)
 			lbsOpts = append(lbsOpts, o)
@@ -702,7 +702,7 @@ func run(args []string, stdout io.Writer) error {
 				peers[i] = shardTS.URL
 				closers[i] = shardTS.Close
 			}
-			gwOpts := []wire.ClusterOption{wire.WithClusterLogger(quiet)}
+			gwOpts := []wire.ClusterOption{wire.WithLogger(quiet)}
 			for _, o := range serverOpts {
 				gwOpts = append(gwOpts, o)
 			}
@@ -717,7 +717,7 @@ func run(args []string, stdout io.Writer) error {
 				// queries (churnCells aims traffic at cell centers).
 				clusterReg = obs.NewRegistry()
 				gwOpts = append(gwOpts,
-					wire.WithClusterMetrics(clusterReg),
+					wire.WithMetrics(clusterReg),
 					wire.WithWarmRadius(cfg.radius))
 				if signKey != nil {
 					gwOpts = append(gwOpts, wire.WithClusterAdmin(signPrincipal))

@@ -59,9 +59,15 @@ func Fig2(env *Env) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Average in the sanitized-type order, not map order: float
+			// addition is not associative, so map order would change the
+			// mean's last bits from run to run.
+			valAcc := rec.ValidationAccuracy()
 			var accs []float64
-			for _, a := range rec.ValidationAccuracy() {
-				accs = append(accs, a)
+			for _, typ := range rec.Sanitized() {
+				if a, ok := valAcc[typ]; ok {
+					accs = append(accs, a)
+				}
 			}
 			mean, std := stats.MeanStd(accs)
 			s.X = append(s.X, r/1000)

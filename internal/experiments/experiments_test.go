@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -72,6 +73,30 @@ func TestFig2(t *testing.T) {
 		for i, y := range s.Y {
 			if y < 0.85 {
 				t.Errorf("%s accuracy at r=%.1f is %v", s.Name, s.X[i], y)
+			}
+		}
+	}
+}
+
+// TestFig2BitIdenticalAcrossRenders re-renders Fig 2 on one Env: the
+// trained models are cached, so every render must average the same
+// accuracies in the same order and produce bit-identical means.
+func TestFig2BitIdenticalAcrossRenders(t *testing.T) {
+	env := sharedEnv()
+	first, err := Fig2(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for render := 1; render < 20; render++ {
+		fig, err := Fig2(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, s := range fig.Series {
+			for i, y := range s.Y {
+				if want := first.Series[si].Y[i]; math.Float64bits(y) != math.Float64bits(want) {
+					t.Fatalf("render %d: %s point %d = %v, first render %v", render, s.Name, i, y, want)
+				}
 			}
 		}
 	}

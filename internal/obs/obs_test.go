@@ -249,3 +249,48 @@ func TestStartSummaryLogsTraffic(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// BenchmarkInstrument prices the metrics middleware alone: one fixed
+// small JSON handler served bare and through Instrument, driven from all
+// procs in parallel. The request and response writer are reused, so the
+// instrumented/bare delta is the per-request cost every server pays for
+// its route metrics (DESIGN.md §5 item 9).
+func BenchmarkInstrument(b *testing.B) {
+	body := []byte(`{"freq":[0,1,2,3,4,5,6,7]}` + "\n")
+	handler := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(body)
+	})
+	for _, v := range []struct {
+		name string
+		h    http.Handler
+	}{
+		{"instrumented", Instrument(NewRegistry(), handler)},
+		{"bare", handler},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				req := httptest.NewRequest(http.MethodGet, "/v1/freq?x=1&y=2&r=3", nil)
+				w := &nopWriter{header: make(http.Header)}
+				for pb.Next() {
+					v.h.ServeHTTP(w, req)
+					if w.code != http.StatusOK {
+						b.Fatalf("status %d", w.code)
+					}
+				}
+			})
+		})
+	}
+}
+
+// nopWriter is a reusable ResponseWriter that keeps only the status.
+type nopWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *nopWriter) Header() http.Header         { return w.header }
+func (w *nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *nopWriter) WriteHeader(code int)        { w.code = code }

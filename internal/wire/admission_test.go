@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"poiagg/internal/obs"
 	"poiagg/internal/poi"
 )
 
@@ -223,6 +222,7 @@ func saturatedLBS(t *testing.T) (*httptest.Server, *LBSServer, func()) {
 	city, svc := wireFixture(t)
 	aud := &blockingAuditor{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	srv := NewLBSServer(city.M(),
+		WithLogger(discardLogger()),
 		WithAuditor(aud),
 		WithAdmission(1, 0, 50*time.Millisecond))
 	ts := httptest.NewServer(srv)
@@ -276,50 +276,6 @@ func TestAdmissionShedsWith503AndRetryAfter(t *testing.T) {
 	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
 	if err != nil || secs < 1 {
 		t.Errorf("Retry-After header = %q", resp.Header.Get("Retry-After"))
-	}
-}
-
-func TestAdmissionOperationalEndpointsBypass(t *testing.T) {
-	ts, srv, unblock := saturatedLBS(t)
-	// With the only slot pinned, probes and scrapes still answer 200.
-	for _, path := range []string{obs.PathHealthz, obs.PathReadyz} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s = %d under saturation, want 200", path, resp.StatusCode)
-		}
-	}
-	snap := fetchSnapshot(t, ts.URL)
-	if got := snap.Counters[MetricAdmissionInflight]; got != 1 {
-		t.Errorf("admission.inflight = %d, want 1", got)
-	}
-
-	// Drain: readyz flips to 503, healthz stays 200, traffic still flows.
-	srv.Drain()
-	resp, err := http.Get(ts.URL + obs.PathReadyz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz after Drain = %d, want 503", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + obs.PathHealthz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz after Drain = %d, want 200", resp.StatusCode)
-	}
-
-	unblock()
-	snap = fetchSnapshot(t, ts.URL)
-	if got := snap.Counters[MetricAdmissionInflight]; got != 0 {
-		t.Errorf("admission.inflight = %d after quiesce", got)
 	}
 }
 

@@ -190,12 +190,8 @@ func (t *peerTable) remove(url string) (*clusterPeer, bool) {
 //
 // ClusterGateway is an http.Handler; callers own the http.Server.
 type ClusterGateway struct {
-	mux *http.ServeMux
-	log *log.Logger
-
-	maxRadius float64
-	maxBatch  int
-	maxBody   int64
+	serverCore
+	maxBatch int
 
 	cellSize  float64
 	cityLabel string
@@ -220,26 +216,14 @@ type ClusterGateway struct {
 	table    *peerTable
 	memberMu sync.Mutex
 
-	reg      *obs.Registry
-	fanout   obs.Histogram
-	pprof    bool
-	handler  http.Handler
-	draining atomic.Bool
-
-	admitCfg AdmissionConfig
-	admit    *admission
-
-	authKeys *Keyring
-	authOpts []AuthOption
-	auth     *authenticator
+	fanout obs.Histogram
 }
 
 var _ http.Handler = (*ClusterGateway)(nil)
 
-// ClusterOption customizes a ClusterGateway. The shared ServerOption
-// values (WithAdmission, WithMaxBody, WithAuth) satisfy this interface
-// too, so the gateway mirrors gspd's admission and auth configuration
-// with the same option values.
+// ClusterOption customizes a ClusterGateway. ServerOption values
+// satisfy this interface too, so the gateway mirrors gspd's admission,
+// auth and limit configuration with the same option values.
 type ClusterOption interface {
 	applyCluster(*ClusterGateway)
 }
@@ -248,26 +232,15 @@ type clusterOption func(*ClusterGateway)
 
 func (o clusterOption) applyCluster(g *ClusterGateway) { o(g) }
 
-// WithClusterLogger sets the gateway's logger (default log.Default()).
-func WithClusterLogger(l *log.Logger) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) { g.log = l })
-}
+// WithClusterLogger is WithLogger.
+//
+// Deprecated: use WithLogger, which configures any server.
+func WithClusterLogger(l *log.Logger) ClusterOption { return WithLogger(l) }
 
-// WithClusterMetrics shares an externally owned metrics registry.
-func WithClusterMetrics(reg *obs.Registry) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
-		if reg != nil {
-			g.reg = reg
-		}
-	})
-}
-
-// WithClusterMaxRadius caps the accepted query radius in meters; it
-// must match the shards' -max-radius so gateway-side validation rejects
-// exactly what the shards would.
-func WithClusterMaxRadius(r float64) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) { g.maxRadius = r })
-}
+// WithClusterMetrics is WithMetrics.
+//
+// Deprecated: use WithMetrics, which configures any server.
+func WithClusterMetrics(reg *obs.Registry) ClusterOption { return WithMetrics(reg) }
 
 // WithClusterMaxBatch caps items per batch request, mirroring the
 // shards' WithMaxBatch.
@@ -403,12 +376,6 @@ func WithPeerClientOptions(opts ...ClientOption) ClusterOption {
 	})
 }
 
-// WithClusterPprof serves net/http/pprof under /debug/pprof/ (default
-// off), mirroring gspd's -pprof.
-func WithClusterPprof(on bool) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) { g.pprof = on })
-}
-
 // NewClusterGateway builds a gateway over an initial shard list (base
 // URLs). Every peer starts on the ring; the prober corrects membership
 // from /readyz, and the /v1/cluster/peers admin surface grows and
@@ -416,11 +383,7 @@ func WithClusterPprof(on bool) ClusterOption {
 // duplicate-free.
 func NewClusterGateway(peers []string, opts ...ClusterOption) (*ClusterGateway, error) {
 	g := &ClusterGateway{
-		mux:           http.NewServeMux(),
-		log:           log.Default(),
-		maxRadius:     10_000,
 		maxBatch:      DefaultMaxBatch,
-		maxBody:       DefaultMaxBody,
 		cellSize:      cluster.DefaultCellSize,
 		vnodes:        cluster.DefaultVirtualNodes,
 		probeInterval: DefaultProbeInterval,
@@ -429,9 +392,9 @@ func NewClusterGateway(peers []string, opts ...ClusterOption) (*ClusterGateway, 
 		hedgeDelay:    DefaultHedgeDelay,
 		warmMaxCells:  DefaultWarmMaxCells,
 		peerTransport: http.DefaultTransport,
-		reg:           obs.NewRegistry(),
 		table:         newPeerTable(),
 	}
+	g.init()
 	for _, opt := range opts {
 		opt.applyCluster(g)
 	}
@@ -462,29 +425,13 @@ func NewClusterGateway(peers []string, opts ...ClusterOption) (*ClusterGateway, 
 	g.mux.HandleFunc("GET "+PathClusterPeers, g.handlePeersList)
 	g.mux.HandleFunc("POST "+PathClusterPeers, g.handlePeerJoin)
 	g.mux.HandleFunc("DELETE "+PathClusterPeers+"/{url}", g.handlePeerLeave)
-	if g.pprof {
-		registerPprof(g.mux)
+	g.ready = func() error {
+		if g.healthyCount() == 0 {
+			return errNoHealthyShards
+		}
+		return nil
 	}
-
-	// Middleware order mirrors GSPServer exactly: admission inside auth
-	// inside instrumentation, so a forged request costs one HMAC and a
-	// shed is counted per route.
-	var inner http.Handler = g.mux
-	if g.admitCfg.Limit > 0 {
-		g.admit = newAdmission(g.admitCfg)
-		g.admit.export(g.reg)
-		inner = g.admit.middleware(inner, map[string]bool{
-			PathFreqBatch:  true,
-			PathQueryBatch: true,
-		})
-	}
-	if g.auth = newServerAuth(g.authKeys, g.authOpts); g.auth != nil {
-		g.auth.export(g.reg)
-		inner = g.auth.middleware(inner, g.maxBody)
-	}
-	g.handler = obs.Instrument(g.reg, inner,
-		obs.WithRequestHook(g.logRequest),
-		obs.WithReadyCheck(g.readyCheck))
+	g.build(batchPaths)
 
 	for _, p := range g.table.snapshot() {
 		g.log.Printf("cluster: shard %d = %s", p.index, p.url)
@@ -547,34 +494,9 @@ func (g *ClusterGateway) exportPeerMetrics(p *clusterPeer) {
 	})
 }
 
-// Metrics returns the gateway's metrics registry.
-func (g *ClusterGateway) Metrics() *obs.Registry { return g.reg }
-
-// Drain flips /readyz to 503 ahead of shutdown, like GSPServer.Drain.
-func (g *ClusterGateway) Drain() { g.draining.Store(true) }
-
-// ServeHTTP implements http.Handler.
-func (g *ClusterGateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	g.handler.ServeHTTP(w, r)
-}
-
-func (g *ClusterGateway) logRequest(method, path string, status int, d time.Duration) {
-	g.log.Printf("%s %s %d %s", method, path, status, d.Round(time.Microsecond))
-}
-
 // errNoHealthyShards is reported when the ring is empty — every shard
 // evicted and none recovered yet.
 var errNoHealthyShards = errors.New("wire: no healthy shards")
-
-func (g *ClusterGateway) readyCheck() error {
-	if g.draining.Load() {
-		return errDraining
-	}
-	if g.healthyCount() == 0 {
-		return errNoHealthyShards
-	}
-	return nil
-}
 
 func (g *ClusterGateway) healthyCount() int {
 	n := 0
@@ -1149,15 +1071,6 @@ func (g *ClusterGateway) prewarm(ctx context.Context, joiner *clusterPeer) error
 		g.log.Printf("cluster: pre-warmed %d cells into %s", len(jobs), joiner.url)
 	}
 	return nil
-}
-
-// admitBatch mirrors GSPServer.admitBatch: item-count weight against
-// the gateway's own admission gate.
-func (g *ClusterGateway) admitBatch(w http.ResponseWriter, r *http.Request, n int) (func(), bool) {
-	if g.admit == nil {
-		return func() {}, true
-	}
-	return g.admit.admitHTTP(w, r, int64(n))
 }
 
 // shardBatch is one shard's slice of a batch fan-out: the items it

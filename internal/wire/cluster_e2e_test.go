@@ -169,7 +169,7 @@ func newClusterHarness(t *testing.T, nShards int, withAuth bool, extra ...Cluste
 		peerOpts = append(peerOpts, WithSigningKey(gatewayPrincipal, gwKey))
 	}
 	gwOpts := []ClusterOption{
-		WithClusterLogger(log.New(io.Discard, "", 0)),
+		WithLogger(log.New(io.Discard, "", 0)),
 		WithPeerTransport(h.kill),
 		WithPeerClientOptions(peerOpts...),
 		WithProbeTimeout(200 * time.Millisecond),
@@ -626,7 +626,7 @@ func TestClusterGatewayAdmissionAndLimits(t *testing.T) {
 	defer shard.Close()
 
 	gw, err := NewClusterGateway([]string{shard.URL},
-		WithClusterLogger(log.New(io.Discard, "", 0)),
+		WithLogger(log.New(io.Discard, "", 0)),
 		WithAdmission(1, 0, 0),
 		WithMaxBody(128),
 		WithClusterMaxBatch(4))
@@ -844,7 +844,7 @@ func TestClusterProberReconcilesAtBoot(t *testing.T) {
 // absent.
 func TestClusterRetryAfterSubSecondHint(t *testing.T) {
 	gw, err := NewClusterGateway([]string{"http://unused.invalid:1"},
-		WithClusterLogger(log.New(io.Discard, "", 0)))
+		WithLogger(log.New(io.Discard, "", 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

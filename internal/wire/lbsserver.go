@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"poiagg/internal/attack"
@@ -47,24 +46,9 @@ func (a RegionAuditor) Audit(f poi.FreqVector, r float64) (bool, int) {
 // audits each release for re-identifiability. Like GSPServer it serves
 // /v1/metrics, /healthz, and /readyz.
 type LBSServer struct {
-	mux     *http.ServeMux
+	serverCore
 	auditor Auditor // nil disables auditing
 	m       int     // expected vector dimension
-	maxR    float64 // reject implausible query ranges
-	maxBody int64   // POST body cap in bytes
-
-	reg     *obs.Registry
-	log     *log.Logger // nil disables per-request logging
-	pprof   bool
-	handler http.Handler
-
-	admitCfg AdmissionConfig
-	admit    *admission // nil when admission is disabled
-	draining atomic.Bool
-
-	authKeys *Keyring
-	authOpts []AuthOption
-	auth     *authenticator // nil when auth is disabled
 
 	// ledger, when set, charges (releaseEps, releaseDelta) per accepted
 	// release and serves the /v1/budget admin endpoints.
@@ -134,45 +118,15 @@ func WithHistoryUsers(n int) LBSServerOption {
 	})
 }
 
-// WithLBSMaxRadius caps the accepted release query range in meters
-// (default 10 km, matching the GSP's cap).
-func WithLBSMaxRadius(r float64) LBSServerOption {
-	return lbsOption(func(s *LBSServer) { s.maxR = r })
-}
+// WithLBSMetrics is WithMetrics.
+//
+// Deprecated: use WithMetrics, which configures any server.
+func WithLBSMetrics(reg *obs.Registry) LBSServerOption { return WithMetrics(reg) }
 
-// WithLBSMetrics shares an externally owned metrics registry (default: a
-// fresh private one).
-func WithLBSMetrics(reg *obs.Registry) LBSServerOption {
-	return lbsOption(func(s *LBSServer) {
-		if reg != nil {
-			s.reg = reg
-		}
-	})
-}
-
-// WithLBSLogger enables per-request logging (default: off, preserving
-// the server's historically quiet behavior; lbsd turns it on).
-func WithLBSLogger(l *log.Logger) LBSServerOption {
-	return lbsOption(func(s *LBSServer) { s.log = l })
-}
-
-// WithLBSPprof serves the net/http/pprof profiling endpoints under
-// /debug/pprof/ (default off; lbsd gates it behind -pprof).
-func WithLBSPprof(on bool) LBSServerOption {
-	return lbsOption(func(s *LBSServer) { s.pprof = on })
-}
-
-// Drain flips /readyz to 503 so load balancers stop routing new work
-// here while in-flight requests finish; lbsd calls it on SIGTERM before
-// http.Server.Shutdown.
-func (s *LBSServer) Drain() { s.draining.Store(true) }
-
-func (s *LBSServer) readyCheck() error {
-	if s.draining.Load() {
-		return errDraining
-	}
-	return nil
-}
+// WithLBSLogger is WithLogger.
+//
+// Deprecated: use WithLogger, which configures any server.
+func WithLBSLogger(l *log.Logger) LBSServerOption { return WithLogger(l) }
 
 // WithBudget enforces a server-side privacy budget: every accepted
 // POST /v1/release charges (eps, delta) — the per-release cost of the
@@ -198,15 +152,12 @@ func WithBudget(led *budget.Ledger, eps, delta float64) LBSServerOption {
 // vectors of dimension m (the city's type count).
 func NewLBSServer(m int, opts ...LBSServerOption) *LBSServer {
 	s := &LBSServer{
-		mux:      http.NewServeMux(),
 		m:        m,
-		maxR:     10_000,
-		maxBody:  DefaultMaxBody,
-		reg:      obs.NewRegistry(),
 		history:  make(map[string]*userHistory),
 		maxPerID: 1000,
 		maxUsers: DefaultHistoryUsers,
 	}
+	s.init()
 	for _, opt := range opts {
 		opt.applyLBS(s)
 	}
@@ -224,43 +175,13 @@ func NewLBSServer(m int, opts ...LBSServerOption) *LBSServer {
 		s.mux.HandleFunc("GET "+PathStreamReleases, s.handleStreamReleases)
 		s.streamRel.ExportMetrics(s.reg)
 	}
-	if s.pprof {
-		registerPprof(s.mux)
-	}
 	s.reg.CounterFunc(MetricLBSHistoryUsers, func() uint64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return uint64(len(s.history))
 	})
-	var inner http.Handler = s.mux
-	if s.admitCfg.Limit > 0 {
-		s.admit = newAdmission(s.admitCfg)
-		s.admit.export(s.reg)
-		inner = s.admit.middleware(inner, nil)
-	}
-	if s.auth = newServerAuth(s.authKeys, s.authOpts); s.auth != nil {
-		s.auth.export(s.reg)
-		// Auth sits outside admission: a forged request costs one HMAC
-		// and is gone — it never occupies an admission slot, and a
-		// rejected release never reaches the budget ledger.
-		inner = s.auth.middleware(inner, s.maxBody)
-	}
-	obsOpts := []obs.Option{obs.WithReadyCheck(s.readyCheck)}
-	if s.log != nil {
-		obsOpts = append(obsOpts, obs.WithRequestHook(func(method, path string, status int, d time.Duration) {
-			s.log.Printf("%s %s %d %s", method, path, status, d.Round(time.Microsecond))
-		}))
-	}
-	s.handler = obs.Instrument(s.reg, inner, obsOpts...)
+	s.build(nil)
 	return s
-}
-
-// Metrics returns the server's metrics registry.
-func (s *LBSServer) Metrics() *obs.Registry { return s.reg }
-
-// ServeHTTP implements http.Handler.
-func (s *LBSServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
 }
 
 func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -285,7 +206,7 @@ func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 	case len(rel.Freq) != s.m:
 		writeError(w, http.StatusBadRequest, "freq has wrong dimension")
 		return
-	case !isFinite(rel.R) || rel.R <= 0 || rel.R > s.maxR:
+	case !isFinite(rel.R) || rel.R <= 0 || rel.R > s.maxRadius:
 		// NaN fails every comparison, so test it explicitly — a NaN
 		// radius would otherwise sail through <= 0.
 		writeError(w, http.StatusBadRequest, "r out of range")

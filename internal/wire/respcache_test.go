@@ -171,10 +171,11 @@ func TestEncodedFreqHitSkipsService(t *testing.T) {
 
 // BenchmarkFreqEncodedHit prices a hot /v1/freq hit with the encoded
 // cache replaying stored bytes against the live path that re-encodes the
-// vector every time.
+// vector every time. It drives the route mux directly, so the middleware
+// chain (priced by obs.BenchmarkInstrument) stays out of the ratio.
 func BenchmarkFreqEncodedHit(b *testing.B) {
 	_, svc := wireFixture(b)
-	quiet := []GSPServerOption{WithLogger(log.New(io.Discard, "", 0)), WithInstrumentation(false)}
+	quiet := []GSPServerOption{WithLogger(log.New(io.Discard, "", 0))}
 	req := httptest.NewRequest(http.MethodGet, "/v1/freq?x=5000&y=5000&r=1000", nil)
 	for _, v := range []struct {
 		name string
@@ -184,12 +185,12 @@ func BenchmarkFreqEncodedHit(b *testing.B) {
 		{"live", NewGSPServer(svc, append(quiet, WithEncodedCache(0))...)},
 	} {
 		// Warm both tiers so the loop measures pure hits.
-		v.srv.ServeHTTP(httptest.NewRecorder(), req)
+		v.srv.mux.ServeHTTP(httptest.NewRecorder(), req)
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rec := httptest.NewRecorder()
-				v.srv.ServeHTTP(rec, req)
+				v.srv.mux.ServeHTTP(rec, req)
 				if rec.Code != http.StatusOK {
 					b.Fatalf("status %d", rec.Code)
 				}

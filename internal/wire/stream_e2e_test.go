@@ -84,7 +84,7 @@ func newStreamStack(t testing.TB, cfg streamStackConfig) *streamStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := append([]LBSServerOption{WithStream(st, rel)}, cfg.srvOpts...)
+	opts := append([]LBSServerOption{WithLogger(discardLogger()), WithStream(st, rel)}, cfg.srvOpts...)
 	ts := httptest.NewServer(NewLBSServer(city.M(), opts...))
 	t.Cleanup(ts.Close)
 	return &streamStack{st: st, rel: rel, led: led, clock: clock, ts: ts}

@@ -158,6 +158,7 @@ func TestGSPConcurrentClients(t *testing.T) {
 func newLBSTestServer(t testing.TB, opts ...LBSServerOption) (*httptest.Server, *LBSClient) {
 	t.Helper()
 	city, _ := wireFixture(t)
+	opts = append([]LBSServerOption{WithLogger(log.New(io.Discard, "", 0))}, opts...)
 	ts := httptest.NewServer(NewLBSServer(city.M(), opts...))
 	t.Cleanup(ts.Close)
 	return ts, NewLBSClient(ts.URL, ts.Client())
