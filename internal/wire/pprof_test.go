@@ -1,55 +1,23 @@
 package wire
 
 import (
-	"io"
-	"log"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 )
 
-// getStatus issues a GET and returns the response status code.
-func getStatus(t *testing.T, url string) int {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode
-}
-
 func TestGSPServerPprofOptIn(t *testing.T) {
 	ts, _ := newGSPTestServer(t, WithPprof(true))
-	if got := getStatus(t, ts.URL+PathPprof); got != http.StatusOK {
+	if got := coreGet(t, ts.URL+PathPprof); got != http.StatusOK {
 		t.Errorf("pprof index with WithPprof(true): status %d", got)
 	}
-	if got := getStatus(t, ts.URL+PathPprof+"cmdline"); got != http.StatusOK {
+	if got := coreGet(t, ts.URL+PathPprof+"cmdline"); got != http.StatusOK {
 		t.Errorf("pprof cmdline with WithPprof(true): status %d", got)
 	}
 }
 
 func TestGSPServerPprofDefaultOff(t *testing.T) {
 	ts, _ := newGSPTestServer(t)
-	if got := getStatus(t, ts.URL+PathPprof); got != http.StatusNotFound {
-		t.Errorf("pprof index without opt-in: status %d, want 404", got)
-	}
-}
-
-func TestLBSServerPprofOptIn(t *testing.T) {
-	city, _ := wireFixture(t)
-	ts := httptest.NewServer(NewLBSServer(city.M(),
-		WithLBSLogger(log.New(io.Discard, "", 0)),
-		WithLBSPprof(true)))
-	t.Cleanup(ts.Close)
-	if got := getStatus(t, ts.URL+PathPprof); got != http.StatusOK {
-		t.Errorf("pprof index with WithLBSPprof(true): status %d", got)
-	}
-
-	off := httptest.NewServer(NewLBSServer(city.M()))
-	t.Cleanup(off.Close)
-	if got := getStatus(t, off.URL+PathPprof); got != http.StatusNotFound {
+	if got := coreGet(t, ts.URL+PathPprof); got != http.StatusNotFound {
 		t.Errorf("pprof index without opt-in: status %d, want 404", got)
 	}
 }
